@@ -81,34 +81,56 @@ func (b *Browser) matches(r Row) bool {
 	return true
 }
 
+// Count returns the number of rows matching the current refinement
+// stack, without materializing them.
+func (b *Browser) Count() int {
+	n := 0
+	for _, r := range b.all {
+		if b.matches(r) {
+			n++
+		}
+	}
+	return n
+}
+
 // Facets computes entity/attribute/qualifier facets over the current rows,
-// each sorted by descending count then value.
+// each sorted by descending count then value, in one pass over the rows.
 func (b *Browser) Facets() []Facet {
-	rows := b.Rows()
-	count := func(get func(Row) string) []FacetValue {
-		m := map[string]int{}
-		for _, r := range rows {
-			if v := get(r); v != "" {
-				m[v]++
-			}
+	entity, attribute, qualifier := map[string]int{}, map[string]int{}, map[string]int{}
+	for _, r := range b.all {
+		if !b.matches(r) {
+			continue
 		}
-		out := make([]FacetValue, 0, len(m))
-		for v, c := range m {
-			out = append(out, FacetValue{Value: v, Count: c})
+		if r.Entity != "" {
+			entity[r.Entity]++
 		}
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].Count != out[j].Count {
-				return out[i].Count > out[j].Count
-			}
-			return out[i].Value < out[j].Value
-		})
-		return out
+		if r.Attribute != "" {
+			attribute[r.Attribute]++
+		}
+		if r.Qualifier != "" {
+			qualifier[r.Qualifier]++
+		}
 	}
 	return []Facet{
-		{Name: "entity", Values: count(func(r Row) string { return r.Entity })},
-		{Name: "attribute", Values: count(func(r Row) string { return r.Attribute })},
-		{Name: "qualifier", Values: count(func(r Row) string { return r.Qualifier })},
+		{Name: "entity", Values: facetValues(entity)},
+		{Name: "attribute", Values: facetValues(attribute)},
+		{Name: "qualifier", Values: facetValues(qualifier)},
 	}
+}
+
+// facetValues lists counted values by descending count, then value.
+func facetValues(m map[string]int) []FacetValue {
+	out := make([]FacetValue, 0, len(m))
+	for v, c := range m {
+		out = append(out, FacetValue{Value: v, Count: c})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Count != out[j].Count {
+			return out[i].Count > out[j].Count
+		}
+		return out[i].Value < out[j].Value
+	})
+	return out
 }
 
 // Refine pushes a facet filter. Unknown facet names are an error.

@@ -1,6 +1,9 @@
 package browse
 
 import (
+	"math/rand"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -105,5 +108,59 @@ func TestHistogramEmpty(t *testing.T) {
 	h := Histogram([]Row{{Value: "text"}}, func(r Row) string { return "x" }, 0)
 	if !strings.Contains(h, "no numeric data") {
 		t.Fatalf("empty histogram: %q", h)
+	}
+}
+
+// materializedFacets is the reference Facets: the counts over the row
+// set Rows materializes.
+func materializedFacets(b *Browser) []Facet {
+	rows := b.Rows()
+	count := func(get func(Row) string) map[string]int {
+		m := map[string]int{}
+		for _, r := range rows {
+			if v := get(r); v != "" {
+				m[v]++
+			}
+		}
+		return m
+	}
+	return []Facet{
+		{Name: "entity", Values: facetValues(count(func(r Row) string { return r.Entity }))},
+		{Name: "attribute", Values: facetValues(count(func(r Row) string { return r.Attribute }))},
+		{Name: "qualifier", Values: facetValues(count(func(r Row) string { return r.Qualifier }))},
+	}
+}
+
+// TestCountAndFacetsMatchMaterialized checks the single-pass Count and
+// Facets against the row set Rows materializes, across random refinement
+// stacks (including refinements to absent values and Back steps).
+func TestCountAndFacetsMatchMaterialized(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	pick := func(vals []string) string { return vals[rng.Intn(len(vals))] }
+	entities := []string{"Madison", "Chicago", "Boston", "Austin", ""}
+	attrs := []string{"temperature", "population", "motto", ""}
+	quals := []string{"July", "January", "March", ""}
+	var rows []Row
+	for i := 0; i < 600; i++ {
+		rows = append(rows, Row{Entity: pick(entities), Attribute: pick(attrs), Qualifier: pick(quals), Value: strconv.Itoa(i)})
+	}
+	b := New(rows)
+	facets := []string{"entity", "attribute", "qualifier"}
+	values := map[string][]string{"entity": append(entities, "Nowhere"), "attribute": attrs, "qualifier": quals}
+	for step := 0; step < 300; step++ {
+		if rng.Intn(3) == 0 {
+			b.Back()
+		} else {
+			f := facets[rng.Intn(len(facets))]
+			if err := b.Refine(f, pick(values[f])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := b.Count(), len(b.Rows()); got != want {
+			t.Fatalf("path %q: Count %d, Rows %d", b.Path(), got, want)
+		}
+		if got, want := b.Facets(), materializedFacets(b); !reflect.DeepEqual(got, want) {
+			t.Fatalf("path %q: Facets\n got %+v\nwant %+v", b.Path(), got, want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package rdbms
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 )
@@ -9,9 +10,10 @@ import (
 // slotted pages. All page access goes through the buffer pool. A HeapFile
 // serializes its own structural mutations with a write lock;
 // transaction-level isolation is provided above it by the lock manager.
-// MVCC snapshot readers use the *Latched read variants, which take the
-// read side per page: many snapshots scan concurrently with each other
-// and exclude only in-progress byte mutations.
+// Reads (Get and every scan) take the read side per page visit: readers
+// run concurrently with each other and exclude only in-progress byte
+// mutations, which row locks alone do not (a slotted-page header is
+// shared by every row on the page).
 type HeapFile struct {
 	mu    sync.RWMutex
 	bp    *BufferPool
@@ -311,8 +313,13 @@ func (h *HeapFile) ForceSlot(rid RID, sc SlotContent, lsn LSN) error {
 	return nil
 }
 
-// Get reads the tuple at rid; ok is false for deleted or absent rows.
+// Get reads the tuple at rid; ok is false for deleted or absent rows. It
+// holds the heap's read latch for the page visit: a row lock covers the
+// row's bytes but not the slotted-page header, which a concurrent insert
+// into the same page rewrites.
 func (h *HeapFile) Get(rid RID) (Tuple, bool, error) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
 	data, err := h.bp.Pin(rid.Page)
 	if err != nil {
 		return nil, false, err
@@ -330,66 +337,102 @@ func (h *HeapFile) Get(rid RID) (Tuple, bool, error) {
 	return t, true, nil
 }
 
-// GetLatched is Get holding the heap's read latch, excluding concurrent
-// byte mutations (which hold the write side). Snapshot readers use it:
-// the plain Get is only safe under the lock manager's row locks.
-func (h *HeapFile) GetLatched(rid RID) (Tuple, bool, error) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.Get(rid)
-}
-
-// ScanLatched is Scan holding the read latch across each page visit (not
-// the whole scan, so writers interleave between pages). fn runs outside
-// the latch. Snapshot readers use it for the same reason as GetLatched.
-func (h *HeapFile) ScanLatched(fn func(rid RID, t Tuple) bool) error {
-	h.mu.RLock()
-	pages := append([]PageID(nil), h.pages...)
-	h.mu.RUnlock()
-	for _, id := range pages {
-		rows, err := h.readPageLatched(id)
-		if err != nil {
-			return err
-		}
-		for _, r := range rows {
-			if !fn(r.rid, r.t) {
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
+// heapRow is one live row of a decoded page.
 type heapRow struct {
 	rid RID
 	t   Tuple
 }
 
-func (h *HeapFile) readPageLatched(id PageID) ([]heapRow, error) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	// Scan-hinted: readPageLatched only serves ScanLatched's sequential
-	// sweep; point reads go through Get/GetLatched.
-	data, err := h.bp.PinScan(id)
-	if err != nil {
-		return nil, err
-	}
-	defer h.bp.Unpin(id, false)
-	p := newSlottedPage(data)
+// decodePage appends the live rows of page id to rows, decoding only the
+// columns in cols (see decodeTupleCols). Every tuple is carved from one
+// per-page slab that is never reused, so callers may keep them. When cols
+// marks no column, the records are only validated and the page's rows
+// share one zero tuple.
+func decodePage(id PageID, p *slottedPage, cols colSet, rows []heapRow) ([]heapRow, error) {
 	n := p.numSlots()
-	rows := make([]heapRow, 0, n)
+	first := len(rows)
+	if cols.none() {
+		var zero Tuple
+		for s := uint16(0); s < n; s++ {
+			if rec, ok := p.read(s); ok {
+				arity, err := tupleArity(rec)
+				if err != nil {
+					return rows, err
+				}
+				if arity > len(zero) {
+					zero = make(Tuple, arity)
+				}
+				rows = append(rows, heapRow{RID{Page: id, Slot: s}, zero[:arity:arity]})
+			}
+		}
+		return rows, nil
+	}
+	live, arity := 0, 0
+	for s := uint16(0); s < n; s++ {
+		if rec, ok := p.read(s); ok {
+			if live == 0 && len(rec) >= 4 {
+				// Each value takes at least one byte, which bounds a
+				// garbage arity by the record's length.
+				arity = min(int(binary.LittleEndian.Uint32(rec[:4])), len(rec)-4)
+			}
+			live++
+		}
+	}
+	slab := make([]Value, 0, live*arity)
 	for s := uint16(0); s < n; s++ {
 		rec, ok := p.read(s)
 		if !ok {
 			continue
 		}
-		t, err := DecodeTuple(rec)
-		if err != nil {
-			return nil, err
+		var prev Tuple
+		if len(rows) > first {
+			prev = rows[len(rows)-1].t
 		}
-		rows = append(rows, heapRow{RID{Page: id, Slot: s}, t})
+		start := len(slab)
+		var err error
+		if slab, err = decodeTupleCols(slab, rec, cols, prev); err != nil {
+			return rows, err
+		}
+		rows = append(rows, heapRow{RID{Page: id, Slot: s}, slab[start:len(slab):len(slab)]})
 	}
 	return rows, nil
+}
+
+// readPage decodes one page's live rows (see decodePage) under the read
+// latch, which excludes concurrent byte mutations for the page visit only.
+func (h *HeapFile) readPage(id PageID, cols colSet, rows []heapRow) ([]heapRow, error) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	// Scan-hinted pin: a full sweep recycles one probationary frame per
+	// page instead of flushing the protected working set.
+	data, err := h.bp.PinScan(id)
+	if err != nil {
+		return rows, err
+	}
+	defer h.bp.Unpin(id, false)
+	return decodePage(id, newSlottedPage(data), cols, rows)
+}
+
+// scanPages is the page loop every heap scan shares: it decodes each
+// page of the chain in order and hands its live rows to fn as one batch,
+// outside the latch, so writers interleave between pages. fn must not
+// keep the rows slice (it is reused), only the tuples in it. Returning
+// false stops the scan.
+func (h *HeapFile) scanPages(cols colSet, fn func(id PageID, rows []heapRow) bool) error {
+	h.mu.RLock()
+	pages := append([]PageID(nil), h.pages...)
+	h.mu.RUnlock()
+	var rows []heapRow
+	for _, id := range pages {
+		var err error
+		if rows, err = h.readPage(id, cols, rows[:0]); err != nil {
+			return err
+		}
+		if !fn(id, rows) {
+			return nil
+		}
+	}
+	return nil
 }
 
 // Delete tombstones the tuple at rid.
@@ -462,52 +505,24 @@ func (h *HeapFile) TryUpdateInPlace(rid RID, t Tuple, onApply func(RID) LSN) (RI
 	return RID{}, false, nil
 }
 
-// Scan calls fn for every live tuple in page-chain order. Returning false
-// stops the scan.
+// Scan calls fn for every live tuple in page-chain order, holding the
+// read latch per page visit (not while fn runs). Tuples are fully decoded
+// and fn may keep them. Returning false stops the scan.
 func (h *HeapFile) Scan(fn func(rid RID, t Tuple) bool) error {
-	h.mu.Lock()
-	pages := append([]PageID(nil), h.pages...)
-	h.mu.Unlock()
-	for _, id := range pages {
-		// Scan-hinted pin: a full sweep recycles one probationary frame
-		// per page instead of flushing the protected working set.
-		data, err := h.bp.PinScan(id)
-		if err != nil {
-			return err
-		}
-		p := newSlottedPage(data)
-		n := p.numSlots()
-		type row struct {
-			rid RID
-			t   Tuple
-		}
-		rows := make([]row, 0, n)
-		for s := uint16(0); s < n; s++ {
-			rec, ok := p.read(s)
-			if !ok {
-				continue
-			}
-			t, err := DecodeTuple(rec)
-			if err != nil {
-				h.bp.Unpin(id, false)
-				return err
-			}
-			rows = append(rows, row{RID{Page: id, Slot: s}, t})
-		}
-		h.bp.Unpin(id, false)
+	return h.scanPages(nil, func(_ PageID, rows []heapRow) bool {
 		for _, r := range rows {
 			if !fn(r.rid, r.t) {
-				return nil
+				return false
 			}
 		}
-	}
-	return nil
+		return true
+	})
 }
 
-// Count returns the number of live tuples (full scan).
+// Count returns the number of live tuples (full scan, decoding nothing).
 func (h *HeapFile) Count() (int, error) {
 	n := 0
-	err := h.Scan(func(RID, Tuple) bool { n++; return true })
+	err := h.scanPages(noCols, func(_ PageID, rows []heapRow) bool { n += len(rows); return true })
 	return n, err
 }
 

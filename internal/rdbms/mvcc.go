@@ -635,6 +635,10 @@ func (vs *VersionStore) Chains() int {
 func (vs *VersionStore) visible(table string, rid RID, s LSN) (version, bool) {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
+	return vs.visibleLocked(table, rid, s)
+}
+
+func (vs *VersionStore) visibleLocked(table string, rid RID, s LSN) (version, bool) {
 	c := vs.chainLocked(table, rid)
 	if c == nil {
 		if bp, ok := vs.batches[table][rid.Page]; ok && rid.Slot < bp.nslots {
@@ -653,6 +657,32 @@ func (vs *VersionStore) visible(table string, rid RID, s LSN) (version, bool) {
 	// Unreachable: the sweep keeps a version at or below the horizon,
 	// and every active snapshot is at or above it.
 	return version{}, false
+}
+
+// resolvePage resolves the heap rows one page visit produced at snapshot
+// s, in place and under one acquisition of mu: rows dead at s are
+// dropped, chained rows take their visible version (with the columns
+// cols does not mark zeroed), and the rest keep their heap tuple. A page
+// of a table with no chains and no batch marker costs one map probe.
+func (vs *VersionStore) resolvePage(table string, id PageID, s LSN, cols colSet, rows []heapRow) []heapRow {
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	if _, batched := vs.batches[table][id]; !batched && len(vs.tables[table]) == 0 {
+		return rows
+	}
+	out := rows[:0]
+	for _, r := range rows {
+		if v, ok := vs.visibleLocked(table, r.rid, s); ok {
+			if !v.live {
+				continue
+			}
+			if v.tup != nil { // nil: heap-resident batch version
+				r.t = cols.mask(v.tup)
+			}
+		}
+		out = append(out, r)
+	}
+	return out
 }
 
 // chainRIDs returns the chained row ids of a table, sorted, so scans can
@@ -768,7 +798,7 @@ func (sn *Snap) Get(table string, rid RID) (Tuple, bool, error) {
 }
 
 func (sn *Snap) fetchRow(t *Table, table string, rid RID) (Tuple, bool, error) {
-	tup, live, err := t.Heap.GetLatched(rid)
+	tup, live, err := t.Heap.Get(rid)
 	if v, ok := sn.db.vs.visible(table, rid, sn.lsn); ok {
 		if v.live && v.tup == nil {
 			// Heap-resident batch version: the heap bytes are the committed
@@ -789,7 +819,7 @@ func (sn *Snap) visibleTup(t *Table, table string, rid RID) (Tuple, bool) {
 		return nil, false
 	}
 	if v.tup == nil {
-		tup, live, err := t.Heap.GetLatched(rid)
+		tup, live, err := t.Heap.Get(rid)
 		if err != nil || !live {
 			return nil, false
 		}
@@ -801,8 +831,19 @@ func (sn *Snap) visibleTup(t *Table, table string, rid RID) (Tuple, bool) {
 // Scan visits every row live at the snapshot LSN. Rows present in the
 // heap come first in heap order; rows dead in the heap but live at the
 // snapshot (deleted by a later-committed or in-flight writer) follow,
-// in RID order.
+// in RID order. Scan decodes every column (its column set is nil; the
+// SELECT executor's scans mark only the columns a query reads, and
+// unmarked columns are then the zero Value). Tuples are carved from
+// per-page slabs that are never reused, so fn may keep them.
 func (sn *Snap) Scan(table string, fn func(rid RID, t Tuple) bool) error {
+	return sn.scanCols(table, nil, fn)
+}
+
+// scanCols implements readSource: Scan decoding only the columns in cols
+// (nil = all). Unmarked columns are the zero Value (NULL) in every tuple
+// fn sees, heap-resident or chained, and tuples may still be kept. The
+// context is polled once per page.
+func (sn *Snap) scanCols(table string, cols colSet, fn func(rid RID, t Tuple) bool) error {
 	if err := sn.ctxErr(); err != nil {
 		return err
 	}
@@ -811,35 +852,19 @@ func (sn *Snap) Scan(table string, fn func(rid RID, t Tuple) bool) error {
 		return err
 	}
 	vs := sn.db.vs
-	seen := make(map[RID]struct{})
+	seen := seenSlots{}
 	stopped := false
-	n := 0
 	var scanErr error
-	err = t.Heap.ScanLatched(func(rid RID, tup Tuple) bool {
-		n++
-		if n%ctxCheckInterval == 0 {
-			if scanErr = sn.ctxErr(); scanErr != nil {
-				return false
-			}
+	err = t.Heap.scanPages(cols, func(id PageID, rows []heapRow) bool {
+		if scanErr = sn.ctxErr(); scanErr != nil {
+			return false
 		}
-		seen[rid] = struct{}{}
-		if v, ok := vs.visible(table, rid, sn.lsn); ok {
-			if !v.live {
-				return true
-			}
-			vt := v.tup
-			if vt == nil {
-				vt = tup // heap-resident batch version
-			}
-			if !fn(rid, vt) {
+		seen.add(id, rows)
+		for _, r := range vs.resolvePage(table, id, sn.lsn, cols, rows) {
+			if !fn(r.rid, r.t) {
 				stopped = true
 				return false
 			}
-			return true
-		}
-		if !fn(rid, tup) {
-			stopped = true
-			return false
 		}
 		return true
 	})
@@ -852,16 +877,38 @@ func (sn *Snap) Scan(table string, fn func(rid RID, t Tuple) bool) error {
 	// Rows that are dead (or reused) in the heap now but were live at
 	// the snapshot exist only in chains.
 	for _, rid := range vs.chainRIDs(table) {
-		if _, ok := seen[rid]; ok {
+		if seen.has(rid) {
 			continue
 		}
 		if vt, ok := sn.visibleTup(t, table, rid); ok {
-			if !fn(rid, vt) {
+			if !fn(rid, cols.mask(vt)) {
 				return nil
 			}
 		}
 	}
 	return nil
+}
+
+// seenSlots records, per page, the slots a scan found live in the heap:
+// one bitset per page instead of one map entry per row.
+type seenSlots map[PageID][]uint64
+
+// add marks rows, which arrive in ascending slot order.
+func (ss seenSlots) add(id PageID, rows []heapRow) {
+	if len(rows) == 0 {
+		return
+	}
+	bits := make([]uint64, rows[len(rows)-1].rid.Slot/64+1)
+	for _, r := range rows {
+		bits[r.rid.Slot/64] |= 1 << (r.rid.Slot % 64)
+	}
+	ss[id] = bits
+}
+
+func (ss seenSlots) has(rid RID) bool {
+	bits := ss[rid.Page]
+	w := int(rid.Slot / 64)
+	return w < len(bits) && bits[w]&(1<<(rid.Slot%64)) != 0
 }
 
 // IndexLookup returns candidate row ids for column = key at the

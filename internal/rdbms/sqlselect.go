@@ -17,7 +17,11 @@ import (
 type readSource interface {
 	table(name string) (*Table, error)
 	ctxErr() error
-	Scan(table string, fn func(rid RID, t Tuple) bool) error
+	// scanCols visits every row the source can see, decoding only the
+	// columns in cols (nil = all; the executor derives the set from the
+	// query, see readCols). Unmarked columns are the zero Value (NULL).
+	// Tuples are never reused, so fn may keep them.
+	scanCols(table string, cols colSet, fn func(rid RID, t Tuple) bool) error
 	IndexLookup(table, column string, key Value) ([]RID, error)
 	IndexRange(table, column string, lo, hi *Value, fn func(key Value, rid RID) bool) error
 	// fetch reads the source-current tuple at rid (live=false for rows
@@ -28,8 +32,8 @@ type readSource interface {
 	orderRows(s SelectStmt, t *Table, op *orderPath, b *binding, stopAfter int) ([]Tuple, bool, error)
 }
 
-// fetch implements readSource for Txn: plain heap read — callers hold
-// the table lock taken by the index probe that produced rid.
+// fetch implements readSource for Txn: a latched heap read — callers
+// hold the table lock taken by the index probe that produced rid.
 func (tx *Txn) fetch(t *Table, _ string, rid RID) (Tuple, bool, error) {
 	return t.Heap.Get(rid)
 }
@@ -115,7 +119,20 @@ func execSelectSrc(src readSource, s SelectStmt) (*ResultSet, error) {
 		stopAfter = s.Offset + s.Limit
 	}
 
-	rows, plan, err := baseRows(src, s, t, fromName, b, pushedWhere, stopAfter)
+	// Rows are collected for projection or a join; a join-free grouped
+	// query instead streams them into its aggregates, keeping only the
+	// groups, so COUNT(*) over a whole table retains nothing.
+	var rows []Tuple
+	emit := func(tup Tuple) (bool, error) {
+		rows = append(rows, tup)
+		return stopAfter < 0 || len(rows) < stopAfter, nil
+	}
+	var ga *groupAgg
+	if grouped && s.Join == nil {
+		ga = newGroupAgg(s, b)
+		emit = func(tup Tuple) (bool, error) { return true, ga.add(tup) }
+	}
+	plan, err := baseRows(src, s, t, fromName, b, pushedWhere, emit)
 	if err != nil {
 		return nil, err
 	}
@@ -141,11 +158,19 @@ func execSelectSrc(src readSource, s SelectStmt) (*ResultSet, error) {
 			}
 			rows = filtered
 		}
+		if grouped {
+			ga = newGroupAgg(s, b)
+			for _, r := range rows {
+				if err := ga.add(r); err != nil {
+					return nil, err
+				}
+			}
+		}
 	}
 
 	var out *ResultSet
 	if grouped {
-		out, err = groupAndAggregate(s, b, rows)
+		out, err = ga.result()
 	} else {
 		out, err = project(s, b, rows)
 	}
@@ -157,7 +182,7 @@ func execSelectSrc(src readSource, s SelectStmt) (*ResultSet, error) {
 		out.Rows = distinctRows(out.Rows)
 	}
 	// Non-grouped ORDER BY is handled inside project (keys may reference
-	// unprojected columns); grouped ordering inside groupAndAggregate.
+	// unprojected columns); grouped ordering inside groupAgg.result.
 	// LIMIT/OFFSET applied last.
 	applyOffsetLimit(out, s.Offset, s.Limit)
 	out.Plan = plan
@@ -192,41 +217,108 @@ func applyOffsetLimit(out *ResultSet, offset, limit int) {
 	}
 }
 
-// baseRows produces the qualifying rows for the FROM table, using an index
-// when a WHERE conjunct permits. Access-path choice always inspects the
-// full WHERE (sargable conjuncts reference only the FROM table), while
-// filter — nil for joined queries, whose WHERE may reference join columns
-// — is evaluated against each candidate before it is retained: scan
-// tuples are freshly decoded, so retained rows need no defensive copy and
-// rejected rows cost no allocation. stopAfter >= 0 caps retained rows.
-func baseRows(src readSource, s SelectStmt, t *Table, fromName string, b *binding, filter Expr, stopAfter int) ([]Tuple, string, error) {
-	if ap := chooseAccessPath(s.Where, t, fromName); ap != nil {
-		rows, err := indexRows(src, s.From, t, ap, b, filter, stopAfter)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, ap.describe(), nil
-	}
-	var rows []Tuple
-	var evalErr error
-	err := src.Scan(s.From, func(_ RID, tup Tuple) bool {
+// baseRows streams the qualifying rows of the FROM table to emit, which
+// returns false to stop early, using an index when a WHERE conjunct
+// permits. Access-path choice always inspects the full WHERE (sargable
+// conjuncts reference only the FROM table), while filter — nil for
+// joined queries, whose WHERE may reference join columns — is evaluated
+// against each candidate before emit sees it. A sequential scan decodes
+// only the columns the query reads (readCols); scan tuples are never
+// reused, so emit may keep them without a defensive copy.
+func baseRows(src readSource, s SelectStmt, t *Table, fromName string, b *binding, filter Expr, emit func(Tuple) (bool, error)) (string, error) {
+	keep := func(tup Tuple) (bool, error) {
 		if filter != nil {
 			v, err := evalExpr(filter, b, tup)
 			if err != nil {
-				evalErr = err
-				return false
+				return false, err
 			}
 			if !truthy(v) {
-				return true
+				return true, nil
 			}
 		}
-		rows = append(rows, tup)
-		return stopAfter < 0 || len(rows) < stopAfter
-	})
-	if evalErr != nil {
-		return nil, "", evalErr
+		return emit(tup)
 	}
-	return rows, "seq scan " + s.From, err
+	if ap := chooseAccessPath(s.Where, t, fromName); ap != nil {
+		return ap.describe(), indexRows(src, s.From, t, ap, keep)
+	}
+	var keepErr error
+	err := src.scanCols(s.From, readCols(s, b), func(_ RID, tup Tuple) bool {
+		var more bool
+		more, keepErr = keep(tup)
+		return more && keepErr == nil
+	})
+	if keepErr != nil {
+		return "", keepErr
+	}
+	return "seq scan " + s.From, err
+}
+
+// readCols derives the columns a join-free SELECT reads: those named in
+// the select list, WHERE, GROUP BY, HAVING and ORDER BY (an ORDER BY name
+// that is a select-list alias reads what the aliased expression reads).
+// A star, a join or a name that does not resolve to one column means all
+// columns (nil), which leaves every error to the evaluator.
+func readCols(s SelectStmt, b *binding) colSet {
+	if s.Join != nil {
+		return nil
+	}
+	cols := make(colSet, len(b.cols))
+	ok := true
+	var mark func(e Expr)
+	mark = func(e Expr) {
+		switch x := e.(type) {
+		case ColumnRef:
+			i, err := b.lookup(x)
+			if err != nil {
+				ok = false
+				return
+			}
+			cols[i] = true
+		case BinaryExpr:
+			mark(x.Left)
+			mark(x.Right)
+		case UnaryExpr:
+			mark(x.X)
+		case IsNullExpr:
+			mark(x.X)
+		case BetweenExpr:
+			mark(x.X)
+			mark(x.Lo)
+			mark(x.Hi)
+		case AggExpr:
+			if !x.Star {
+				mark(x.Arg)
+			}
+		case Literal, nil:
+		default:
+			ok = false
+		}
+	}
+	aliases := map[string]bool{}
+	for _, se := range s.Exprs {
+		if se.Star {
+			return nil
+		}
+		mark(se.Expr)
+		if se.Alias != "" {
+			aliases[se.Alias] = true
+		}
+	}
+	mark(s.Where)
+	mark(s.Having)
+	for _, g := range s.GroupBy {
+		mark(g)
+	}
+	for _, o := range s.OrderBy {
+		if cr, isCol := o.Expr.(ColumnRef); isCol && cr.Table == "" && aliases[cr.Column] {
+			continue
+		}
+		mark(o.Expr)
+	}
+	if !ok {
+		return nil
+	}
+	return cols
 }
 
 // accessPath is a chosen index strategy: equality or range on one column.
@@ -359,16 +451,17 @@ func splitConjuncts(e Expr) []Expr {
 	return []Expr{e}
 }
 
-// indexRows fetches tuples via the chosen index path, applying the full
-// WHERE clause (the index may cover only some conjuncts, and range paths
-// treat strict bounds as inclusive) and the early-stop cap as it goes.
-func indexRows(src readSource, table string, t *Table, ap *accessPath, b *binding, where Expr, stopAfter int) ([]Tuple, error) {
+// indexRows fetches the candidate tuples of the chosen index path and
+// hands the live ones to keep, which applies the full WHERE clause (the
+// index may cover only some conjuncts, and range paths treat strict
+// bounds as inclusive) and returns false to stop early.
+func indexRows(src readSource, table string, t *Table, ap *accessPath, keep func(Tuple) (bool, error)) error {
 	var rids []RID
 	if ap.eq != nil {
 		var err error
 		rids, err = src.IndexLookup(table, ap.column, *ap.eq)
 		if err != nil {
-			return nil, err
+			return err
 		}
 	} else {
 		err := src.IndexRange(table, ap.column, ap.lo, ap.hi, func(_ Value, rid RID) bool {
@@ -376,38 +469,27 @@ func indexRows(src readSource, table string, t *Table, ap *accessPath, b *bindin
 			return true
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	rows := make([]Tuple, 0, len(rids))
 	for i, rid := range rids {
 		if i%ctxCheckInterval == ctxCheckInterval-1 {
 			if err := src.ctxErr(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		tup, live, err := src.fetch(t, table, rid)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !live {
 			continue
 		}
-		if where != nil {
-			v, err := evalExpr(where, b, tup)
-			if err != nil {
-				return nil, err
-			}
-			if !truthy(v) {
-				continue
-			}
-		}
-		rows = append(rows, tup)
-		if stopAfter >= 0 && len(rows) >= stopAfter {
-			break
+		if more, err := keep(tup); err != nil || !more {
+			return err
 		}
 	}
-	return rows, nil
+	return nil
 }
 
 // hashJoin joins rows with the join table on the equality condition,
@@ -453,7 +535,7 @@ func hashJoin(src readSource, left []Tuple, lb *binding, j *JoinClause) ([]Tuple
 	// decoded, so they are retained without cloning.
 	build := map[string][]Tuple{}
 	var keyBuf []byte
-	err = src.Scan(j.Table, func(_ RID, tup Tuple) bool {
+	err = src.scanCols(j.Table, nil, func(_ RID, tup Tuple) bool {
 		keyBuf = appendKey(keyBuf[:0], tup[ri])
 		k := string(keyBuf)
 		build[k] = append(build[k], tup)
@@ -621,7 +703,7 @@ func scanTopKRows(src readSource, s SelectStmt, b *binding) ([]Tuple, error) {
 	scratch := make(Tuple, len(keyExprs))
 	seq := 0
 	var evalErr error
-	err := src.Scan(s.From, func(_ RID, tup Tuple) bool {
+	err := src.scanCols(s.From, readCols(s, b), func(_ RID, tup Tuple) bool {
 		if s.Where != nil {
 			v, err := evalExpr(s.Where, b, tup)
 			if err != nil {
@@ -849,54 +931,127 @@ func (a *aggState) result() Value {
 	return Null()
 }
 
-// groupAndAggregate implements GROUP BY + aggregates + HAVING + ORDER BY
-// for grouped queries (including implicit single-group aggregation).
-func groupAndAggregate(s SelectStmt, b *binding, rows []Tuple) (*ResultSet, error) {
-	cols, exprs := expandSelect(s, b)
+// groupAgg implements GROUP BY + aggregates + HAVING + ORDER BY for
+// grouped queries (including the implicit single group of an
+// aggregate-only query). It consumes rows one at a time: a group keeps
+// its key values and one running aggState per aggregate, never its rows.
+type groupAgg struct {
+	s    SelectStmt
+	b    *binding
+	cols []string
+	// exprs, having and orderBy are the query's expressions with every
+	// aggregate lifted into aggs and replaced by an aggRef.
+	exprs   []Expr
+	having  Expr
+	orderBy []Expr
+	aggs    []AggExpr
 
-	type group struct {
-		keyVals Tuple
-		rows    []Tuple
+	groups map[string]*aggGroup
+	order  []string
+	keyBuf []byte
+}
+
+type aggGroup struct {
+	keyVals Tuple
+	states  []aggState
+}
+
+// aggRef stands for the groupAgg aggregate at its index.
+type aggRef int
+
+func (aggRef) expr() {}
+
+func newGroupAgg(s SelectStmt, b *binding) *groupAgg {
+	g := &groupAgg{s: s, b: b, groups: map[string]*aggGroup{}}
+	var exprs []Expr
+	g.cols, exprs = expandSelect(s, b)
+	for _, e := range exprs {
+		g.exprs = append(g.exprs, g.lift(e))
 	}
-	groups := map[string]*group{}
-	var order []string
-	var keyBuf []byte
-	for _, r := range rows {
-		var keyVals Tuple
-		keyBuf = keyBuf[:0]
-		for _, g := range s.GroupBy {
-			v, err := evalExpr(g, b, r)
-			if err != nil {
-				return nil, err
-			}
-			keyVals = append(keyVals, v)
-			keyBuf = appendKey(keyBuf, v)
-		}
-		gr, ok := groups[string(keyBuf)]
-		if !ok {
-			gr = &group{keyVals: keyVals}
-			k := string(keyBuf)
-			groups[k] = gr
-			order = append(order, k)
-		}
-		gr.rows = append(gr.rows, r)
+	if s.Having != nil {
+		g.having = g.lift(s.Having)
 	}
+	for _, k := range s.OrderBy {
+		g.orderBy = append(g.orderBy, g.lift(k.Expr))
+	}
+	return g
+}
+
+// lift replaces each aggregate in e with an aggRef to a new entry of
+// g.aggs.
+func (g *groupAgg) lift(e Expr) Expr {
+	switch x := e.(type) {
+	case AggExpr:
+		g.aggs = append(g.aggs, x)
+		return aggRef(len(g.aggs) - 1)
+	case BinaryExpr:
+		return BinaryExpr{Op: x.Op, Left: g.lift(x.Left), Right: g.lift(x.Right)}
+	case UnaryExpr:
+		return UnaryExpr{Op: x.Op, X: g.lift(x.X)}
+	case IsNullExpr:
+		return IsNullExpr{X: g.lift(x.X), Not: x.Not}
+	case BetweenExpr:
+		return BetweenExpr{X: g.lift(x.X), Lo: g.lift(x.Lo), Hi: g.lift(x.Hi)}
+	}
+	return e
+}
+
+// add folds one row into its group's aggregates.
+func (g *groupAgg) add(r Tuple) error {
+	var keyVals Tuple
+	g.keyBuf = g.keyBuf[:0]
+	for _, k := range g.s.GroupBy {
+		v, err := evalExpr(k, g.b, r)
+		if err != nil {
+			return err
+		}
+		keyVals = append(keyVals, v)
+		g.keyBuf = appendKey(g.keyBuf, v)
+	}
+	gr, ok := g.groups[string(g.keyBuf)]
+	if !ok {
+		gr = g.newGroup(keyVals)
+		k := string(g.keyBuf)
+		g.groups[k] = gr
+		g.order = append(g.order, k)
+	}
+	for i, a := range g.aggs {
+		if a.Star {
+			gr.states[i].count++
+			continue
+		}
+		v, err := evalExpr(a.Arg, g.b, r)
+		if err != nil {
+			return err
+		}
+		gr.states[i].add(v)
+	}
+	return nil
+}
+
+func (g *groupAgg) newGroup(keyVals Tuple) *aggGroup {
+	gr := &aggGroup{keyVals: keyVals, states: make([]aggState, len(g.aggs))}
+	for i, a := range g.aggs {
+		gr.states[i].fn = a.Func
+	}
+	return gr
+}
+
+// result evaluates HAVING, the select list and ORDER BY per group, in
+// first-seen group order, then sorts.
+func (g *groupAgg) result() (*ResultSet, error) {
+	s := g.s
 	// Implicit single group for aggregate-only queries with no rows.
-	if len(s.GroupBy) == 0 && len(groups) == 0 {
-		groups[""] = &group{}
-		order = append(order, "")
+	if len(s.GroupBy) == 0 && len(g.groups) == 0 {
+		g.groups[""] = g.newGroup(nil)
+		g.order = append(g.order, "")
 	}
-
-	evalAggExpr := func(e Expr, gr *group) (Value, error) {
-		return evalWithAggs(e, b, gr.rows, s.GroupBy, gr.keyVals)
-	}
-
-	out := &ResultSet{Columns: cols}
+	out := &ResultSet{Columns: g.cols}
 	var keyed []keyedRow
-	for _, k := range order {
-		gr := groups[k]
-		if s.Having != nil {
-			v, err := evalAggExpr(s.Having, gr)
+	for _, k := range g.order {
+		gr := g.groups[k]
+		if g.having != nil {
+			v, err := g.eval(g.having, gr)
 			if err != nil {
 				return nil, err
 			}
@@ -904,20 +1059,20 @@ func groupAndAggregate(s SelectStmt, b *binding, rows []Tuple) (*ResultSet, erro
 				continue
 			}
 		}
-		row := make(Tuple, len(exprs))
-		for i, e := range exprs {
-			v, err := evalAggExpr(e, gr)
+		row := make(Tuple, len(g.exprs))
+		for i, e := range g.exprs {
+			v, err := g.eval(e, gr)
 			if err != nil {
 				return nil, err
 			}
 			row[i] = v
 		}
 		var keys Tuple
-		for _, okey := range s.OrderBy {
+		for ki, okey := range s.OrderBy {
 			// Order keys may be aliases of the projection.
 			if cr, ok := okey.Expr.(ColumnRef); ok && cr.Table == "" {
 				found := false
-				for i, c := range cols {
+				for i, c := range g.cols {
 					if c == cr.Column {
 						keys = append(keys, row[i])
 						found = true
@@ -928,7 +1083,7 @@ func groupAndAggregate(s SelectStmt, b *binding, rows []Tuple) (*ResultSet, erro
 					continue
 				}
 			}
-			v, err := evalAggExpr(okey.Expr, gr)
+			v, err := g.eval(g.orderBy[ki], gr)
 			if err != nil {
 				return nil, err
 			}
@@ -960,69 +1115,57 @@ func groupAndAggregate(s SelectStmt, b *binding, rows []Tuple) (*ResultSet, erro
 	return out, nil
 }
 
-// evalWithAggs evaluates an expression that may contain aggregates over the
-// group's rows. Non-aggregate column refs must be GROUP BY keys.
-func evalWithAggs(e Expr, b *binding, rows []Tuple, groupBy []ColumnRef, keyVals Tuple) (Value, error) {
+// eval evaluates a lifted expression for one group: aggregates read
+// their running state, and other column refs must be GROUP BY keys.
+func (g *groupAgg) eval(e Expr, gr *aggGroup) (Value, error) {
 	switch x := e.(type) {
-	case AggExpr:
-		st := &aggState{fn: x.Func}
-		for _, r := range rows {
-			if x.Star {
-				st.count++
-				continue
-			}
-			v, err := evalExpr(x.Arg, b, r)
-			if err != nil {
-				return Value{}, err
-			}
-			st.add(v)
-		}
-		return st.result(), nil
+	case aggRef:
+		return gr.states[x].result(), nil
 	case ColumnRef:
-		for i, g := range groupBy {
-			if g.Column == x.Column && (x.Table == "" || g.Table == "" || g.Table == x.Table) {
-				return keyVals[i], nil
+		for i, k := range g.s.GroupBy {
+			if k.Column == x.Column && (x.Table == "" || k.Table == "" || k.Table == x.Table) {
+				return gr.keyVals[i], nil
 			}
 		}
 		return Value{}, fmt.Errorf("rdbms: column %s is neither aggregated nor grouped", x)
 	case Literal:
 		return x.Val, nil
 	case BinaryExpr:
-		l, err := evalWithAggs(x.Left, b, rows, groupBy, keyVals)
+		l, err := g.eval(x.Left, gr)
 		if err != nil {
 			return Value{}, err
 		}
-		r, err := evalWithAggs(x.Right, b, rows, groupBy, keyVals)
+		r, err := g.eval(x.Right, gr)
 		if err != nil {
 			return Value{}, err
 		}
-		return evalBinary(BinaryExpr{Op: x.Op, Left: Literal{Val: l}, Right: Literal{Val: r}}, b, nil)
+		return evalBinary(BinaryExpr{Op: x.Op, Left: Literal{Val: l}, Right: Literal{Val: r}}, g.b, nil)
 	case UnaryExpr:
-		v, err := evalWithAggs(x.X, b, rows, groupBy, keyVals)
+		v, err := g.eval(x.X, gr)
 		if err != nil {
 			return Value{}, err
 		}
-		return evalExpr(UnaryExpr{Op: x.Op, X: Literal{Val: v}}, b, nil)
+		return evalExpr(UnaryExpr{Op: x.Op, X: Literal{Val: v}}, g.b, nil)
 	case IsNullExpr:
-		v, err := evalWithAggs(x.X, b, rows, groupBy, keyVals)
+		v, err := g.eval(x.X, gr)
 		if err != nil {
 			return Value{}, err
 		}
 		return NewBool(v.IsNull() != x.Not), nil
 	case BetweenExpr:
-		v, err := evalWithAggs(x.X, b, rows, groupBy, keyVals)
+		v, err := g.eval(x.X, gr)
 		if err != nil {
 			return Value{}, err
 		}
-		lo, err := evalWithAggs(x.Lo, b, rows, groupBy, keyVals)
+		lo, err := g.eval(x.Lo, gr)
 		if err != nil {
 			return Value{}, err
 		}
-		hi, err := evalWithAggs(x.Hi, b, rows, groupBy, keyVals)
+		hi, err := g.eval(x.Hi, gr)
 		if err != nil {
 			return Value{}, err
 		}
-		return evalExpr(BetweenExpr{X: Literal{Val: v}, Lo: Literal{Val: lo}, Hi: Literal{Val: hi}}, b, nil)
+		return evalExpr(BetweenExpr{X: Literal{Val: v}, Lo: Literal{Val: lo}, Hi: Literal{Val: hi}}, g.b, nil)
 	}
 	return Value{}, fmt.Errorf("rdbms: unsupported grouped expression %T", e)
 }

@@ -9,11 +9,12 @@ import (
 // ErrTxnDone is returned when using a committed or aborted transaction.
 var ErrTxnDone = errors.New("rdbms: transaction already finished")
 
-// ctxCheckInterval is how many rows a scan-shaped loop processes between
-// context-cancellation checks. Checking every row would put a ctx.Err()
-// call (an atomic load plus an interface comparison) on the hottest loop
-// in the engine; every 64th row bounds a canceled request's overshoot to
-// a few microseconds of extra decoding while keeping the common
+// ctxCheckInterval is how many entries an index-shaped loop processes
+// between context-cancellation checks; heap scans poll once per page, a
+// batch of similar size. Checking every row would put a ctx.Err() call
+// (an atomic load plus an interface comparison) on the hottest loop in
+// the engine; every 64th row bounds a canceled request's overshoot to a
+// few microseconds of extra decoding while keeping the common
 // uncancelled path effectively free.
 const ctxCheckInterval = 64
 
@@ -362,11 +363,17 @@ func (tx *Txn) fixIndexes(t *Table, oldRID, newRID RID, before, after Tuple) {
 }
 
 // Scan iterates every live tuple in the table under a shared table lock.
-// With a context attached (WithContext), cancellation is polled every
-// ctxCheckInterval rows and the scan stops with the context's error —
-// the deadline check that keeps a slow or abandoned SELECT from holding
-// its shared lock forever.
+// With a context attached (WithContext), cancellation is polled once per
+// heap page and the scan stops with the context's error — the deadline
+// check that keeps a slow or abandoned SELECT from holding its shared
+// lock forever. Tuples are fully decoded and fn may keep them.
 func (tx *Txn) Scan(table string, fn func(rid RID, t Tuple) bool) error {
+	return tx.scanCols(table, nil, fn)
+}
+
+// scanCols implements readSource: Scan decoding only the columns in cols
+// (nil = all); unmarked columns are the zero Value (NULL).
+func (tx *Txn) scanCols(table string, cols colSet, fn func(rid RID, t Tuple) bool) error {
 	if tx.done {
 		return ErrTxnDone
 	}
@@ -380,19 +387,17 @@ func (tx *Txn) Scan(table string, fn func(rid RID, t Tuple) bool) error {
 	if err := tx.db.lm.Acquire(tx.id, TableLock(table), LockShared); err != nil {
 		return err
 	}
-	if tx.ctx == nil {
-		return t.Heap.Scan(fn)
-	}
-	var n int
 	var ctxErr error
-	err = t.Heap.Scan(func(rid RID, tup Tuple) bool {
-		n++
-		if n%ctxCheckInterval == 0 {
-			if ctxErr = tx.ctx.Err(); ctxErr != nil {
+	err = t.Heap.scanPages(cols, func(_ PageID, rows []heapRow) bool {
+		if ctxErr = tx.ctxErr(); ctxErr != nil {
+			return false
+		}
+		for _, r := range rows {
+			if !fn(r.rid, r.t) {
 				return false
 			}
 		}
-		return fn(rid, tup)
+		return true
 	})
 	if ctxErr != nil {
 		return ctxErr
@@ -421,7 +426,7 @@ func (tx *Txn) IndexLookup(table, column string, key Value) ([]RID, error) {
 }
 
 // IndexRange iterates index entries in [lo, hi] (nil = unbounded),
-// polling an attached context every ctxCheckInterval entries like Scan.
+// polling an attached context every ctxCheckInterval entries.
 func (tx *Txn) IndexRange(table, column string, lo, hi *Value, fn func(key Value, rid RID) bool) error {
 	if tx.done {
 		return ErrTxnDone

@@ -1,6 +1,7 @@
 package rdbms
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -213,12 +214,18 @@ func TestConcurrentTransfersSerializable(t *testing.T) {
 			tx := db.Begin()
 			err := func() error {
 				src, live, err := tx.Get("acct", rids[from])
-				if err != nil || !live {
-					return fmt.Errorf("get src: %v %v", live, err)
+				if err != nil {
+					return fmt.Errorf("get src: %w", err)
+				}
+				if !live {
+					return fmt.Errorf("get src: row missing")
 				}
 				dst, live, err := tx.Get("acct", rids[to])
-				if err != nil || !live {
-					return fmt.Errorf("get dst: %v %v", live, err)
+				if err != nil {
+					return fmt.Errorf("get dst: %w", err)
+				}
+				if !live {
+					return fmt.Errorf("get dst: row missing")
 				}
 				if _, err := tx.Update("acct", rids[from], Tuple{src[0], NewInt(src[1].I - amount)}); err != nil {
 					return err
@@ -228,7 +235,7 @@ func TestConcurrentTransfersSerializable(t *testing.T) {
 				}
 				return nil
 			}()
-			if err == ErrDeadlock {
+			if errors.Is(err, ErrDeadlock) {
 				tx.Abort()
 				continue
 			}

@@ -259,6 +259,157 @@ func DecodeTuple(buf []byte) (Tuple, error) {
 	return out, nil
 }
 
+// colSet marks the columns a read decodes, by position; nil marks every
+// column. Scans derive it from the query they serve (see readCols) and
+// never take it from configuration.
+type colSet []bool
+
+// noCols marks no column: a read that needs only row existence.
+var noCols = colSet{}
+
+func (c colSet) has(i int) bool { return c == nil || (i < len(c) && c[i]) }
+
+// none reports whether the set marks no column at all.
+func (c colSet) none() bool {
+	if c == nil {
+		return false
+	}
+	for _, m := range c {
+		if m {
+			return false
+		}
+	}
+	return true
+}
+
+// mask returns t with the columns c does not mark zeroed: t itself when
+// c marks every column, else a copy.
+func (c colSet) mask(t Tuple) Tuple {
+	if c == nil {
+		return t
+	}
+	out := make(Tuple, len(t))
+	for i, v := range t {
+		if c.has(i) {
+			out[i] = v
+		}
+	}
+	return out
+}
+
+// skipValue returns the encoded length of the value at the front of buf.
+// It rejects exactly what decodeValue rejects, without building a value.
+func skipValue(buf []byte) (int, error) {
+	if len(buf) < 1 {
+		return 0, fmt.Errorf("rdbms: empty value encoding")
+	}
+	var n int
+	switch Type(buf[0]) {
+	case TNull:
+		n = 1
+	case TInt, TFloat:
+		n = 9
+	case TString:
+		if len(buf) < 5 {
+			return 0, fmt.Errorf("rdbms: short string header")
+		}
+		n = 5 + int(binary.LittleEndian.Uint32(buf[1:5]))
+	case TBool:
+		n = 2
+	default:
+		return 0, fmt.Errorf("rdbms: bad type tag %d", buf[0])
+	}
+	if len(buf) < n {
+		return 0, fmt.Errorf("rdbms: short %s encoding", Type(buf[0]))
+	}
+	return n, nil
+}
+
+// tupleHeader checks a tuple encoding's header as DecodeTuple does and
+// returns the arity it declares.
+func tupleHeader(buf []byte) (int, error) {
+	if len(buf) < 4 {
+		return 0, fmt.Errorf("rdbms: short tuple header")
+	}
+	n := int(binary.LittleEndian.Uint32(buf[:4]))
+	if n > 1<<20 {
+		return 0, fmt.Errorf("rdbms: implausible tuple arity %d", n)
+	}
+	return n, nil
+}
+
+// decodeTupleCols is DecodeTuple restricted to the columns in cols: it
+// extends dst by the tuple's arity, decoding marked columns and leaving
+// unmarked ones as the zero Value (NULL) after validating and skipping
+// their bytes. It accepts and rejects exactly the inputs DecodeTuple
+// does. Appending to a caller's slab is what lets a page decode into one
+// allocation. A marked string column equal to the same column of prev
+// (the row decoded before, or nil) shares prev's string instead of
+// allocating a copy: rows of one entity sit together on a page.
+func decodeTupleCols(dst []Value, buf []byte, cols colSet, prev Tuple) ([]Value, error) {
+	n, err := tupleHeader(buf)
+	if err != nil {
+		return dst, err
+	}
+	off := 4
+	for i := 0; i < n; i++ {
+		if !cols.has(i) {
+			used, err := skipValue(buf[off:])
+			if err != nil {
+				return dst, err
+			}
+			dst = append(dst, Value{})
+			off += used
+			continue
+		}
+		if i < len(prev) && prev[i].Type == TString {
+			if used, ok := sameString(buf[off:], prev[i].S); ok {
+				dst = append(dst, prev[i])
+				off += used
+				continue
+			}
+		}
+		v, used, err := decodeValue(buf[off:])
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, v)
+		off += used
+	}
+	return dst, nil
+}
+
+// sameString reports whether buf starts with the encoding of the string
+// s, and the encoding's length.
+func sameString(buf []byte, s string) (int, bool) {
+	if len(buf) < 5 || Type(buf[0]) != TString {
+		return 0, false
+	}
+	n := int(binary.LittleEndian.Uint32(buf[1:5]))
+	if len(buf)-5 < n || string(buf[5:5+n]) != s {
+		return 0, false
+	}
+	return 5 + n, true
+}
+
+// tupleArity validates buf as DecodeTuple does and returns the tuple's
+// arity, decoding no value: the decoder of reads that mark no column.
+func tupleArity(buf []byte) (int, error) {
+	n, err := tupleHeader(buf)
+	if err != nil {
+		return 0, err
+	}
+	off := 4
+	for i := 0; i < n; i++ {
+		used, err := skipValue(buf[off:])
+		if err != nil {
+			return 0, err
+		}
+		off += used
+	}
+	return n, nil
+}
+
 // Clone returns a deep copy of the tuple.
 func (t Tuple) Clone() Tuple {
 	out := make(Tuple, len(t))

@@ -92,7 +92,7 @@ func (s *Server) handle(ctx context.Context, req *Request) *Response {
 				return badRequest(err.Error())
 			}
 		}
-		out := &Browse{Path: b.Path(), Rows: len(b.Rows())}
+		out := &Browse{Path: b.Path(), Rows: b.Count()}
 		for _, f := range b.Facets() {
 			wf := Facet{Name: f.Name}
 			for _, v := range f.Values {
