@@ -1,4 +1,4 @@
-// Command benchrunner regenerates every experiment from DESIGN.md's index
+// Command benchrunner regenerates every experiment in internal/experiments
 // (E1-E10) and prints the result series as text tables — the repository's
 // equivalent of the paper's evaluation section. Run with -quick for a
 // smaller parameterization.

@@ -7,9 +7,9 @@
 // provenance, semantic debugger), and user layer (keyword search, guided
 // structured querying, browsing, alerts, reputation and incentives).
 //
-// See DESIGN.md for the system inventory, EXPERIMENTS.md for the measured
-// results, and examples/ for runnable walkthroughs. The E1-E10 benchmarks
-// in bench_test.go regenerate every experiment.
+// See examples/ for runnable walkthroughs. The E1-E10 experiments live in
+// internal/experiments; cmd/benchrunner and the benchmarks in
+// bench_test.go regenerate them.
 //
 // # Query-path architecture (PR1)
 //
@@ -22,7 +22,8 @@
 // through core (materialize, CorrectValue) fold their committed rows into
 // the cache under System.mu, strictly after their transaction commits;
 // write paths that bypass core's row bookkeeping (UQL STORE inside
-// Generate, non-SELECT statements through System.SQL) invalidate it, and
+// Generate, non-SELECT statements through System.SQL; text that fails to
+// parse executes nothing and leaves the cache alone) invalidate it, and
 // the next Catalog()/AskGuided call rebuilds it with one full scan while
 // holding System.mu across scan + install. The assembled catalog and the
 // reformulator derived from it are memoized between writes, so a
@@ -83,8 +84,8 @@
 // Warm start. SaveWarmState persists the catalog cache (entities,
 // attributes, qualifier vocabularies) and the pending task queue
 // (priorities, partitions, documents by title) as one checksummed JSON
-// record in the filestore segment store; repeated saves append. Open /
-// LoadWarmState restores the newest snapshot so a reopened system serves
+// record in the filestore segment store; repeated saves append.
+// LoadWarmState (called by OpenDir) restores the newest snapshot so a reopened system serves
 // AskGuided with zero table scans and resumes incremental extraction
 // where it left off. Staleness is decided by two cheap checks: the
 // snapshot's extracted-table row count must match the live table (read
@@ -531,12 +532,21 @@
 // fan-out, so a reduce partition lands on exactly one shard and one
 // entity never spans two.
 //
-// Routing and merge. Requests route by what they touch. A query with a
-// top-level entity equality runs verbatim on the owning shard. Everything
-// else fans out to all shards in parallel and merges:
+// Routing and merge. SQL text is parsed once, at the entry point
+// (ShardedSystem.SQL or ShardedView.SQL; non-SELECTs are refused with
+// ErrReadOnly, by ShardedSystem.SQL before it opens any shard
+// snapshot). Below it only the rdbms.SelectStmt AST travels, and each
+// shard executes it through core.View.ExecSelect. Requests route by what they touch. A query with
+// a top-level entity equality runs unchanged on the owning shard.
+// Everything else fans out to all shards in parallel, each merge path
+// handing the shards its own rewritten copy of the AST (sort keys
+// appended to the projection, a tightened LIMIT, aggregate partials),
+// and merges:
 //
 //   - ORDER BY queries push OFFSET+LIMIT to each shard and k-way merge
-//     the sorted streams (ties keep the lowest shard index).
+//     the sorted streams (ties keep the lowest shard index). One merge
+//     helper serves this path, the entity merge below, ordered DISTINCT
+//     and ShardedView.Browse.
 //   - Aggregates recombine exactly from per-shard partials (COUNT/SUM
 //     add, MIN/MAX fold, AVG from sum+count), mirroring the engine's own
 //     aggregate state machine; GROUP BY groups merge by key.
@@ -553,9 +563,11 @@
 //
 // The equivalence oracle (internal/shard/shard_test.go) proves the
 // contract the merges exist for: for 1-, 2-, and 4-shard layouts over
-// the same corpus, AskGuided, KeywordSearch, Browse, and a 21-query SQL
+// the same corpus, AskGuided, KeywordSearch, Browse, and a 28-query SQL
 // matrix (ORDER BY with LIMIT/OFFSET/DESC, aggregates, GROUP BY,
-// DISTINCT, unordered scans, entity-routed queries) render byte-identical
+// DISTINCT, unordered scans, entity-routed queries, and expression
+// shapes such as float BETWEEN, LIKE, negated OR and quoted or
+// negative literals) render byte-identical
 // to a single engine. Writes through SQL are typed ErrReadOnly;
 // cross-shard JOINs and HAVING are typed ErrUnsupported.
 //

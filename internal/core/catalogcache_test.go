@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/rdbms"
 	"repro/internal/uql"
 )
 
@@ -171,6 +172,41 @@ func TestCatalogCacheInvalidatedOnGenerateError(t *testing.T) {
 	if len(cat.Entities) == 0 {
 		t.Fatal("committed STORE rows invisible to catalog after failed Generate")
 	}
+}
+
+// TestCatalogCacheSurvivesMalformedSQL: text that does not parse changes
+// nothing, so it must come back as the parse error and leave the
+// published catalog in place; invalidating it would make the next
+// AskGuided pay a full-table rebuild scan for a typo.
+func TestCatalogCacheSurvivesMalformedSQL(t *testing.T) {
+	s, _ := newSystem(t, 6, 0, 0)
+	if _, err := s.Generate(context.Background(), `
+		EXTRACT temperature FROM docs USING city KIND city INTO temps;
+		STORE temps INTO TABLE extracted;
+	`, uql.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	published, err := s.catalogSnap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"SELEC entity FROM extracted",
+		"INSERT INTO extracted (entity) VALUES (",
+		"DELETE extracted",
+	} {
+		_, err := s.SQL(context.Background(), q)
+		if err == nil {
+			t.Fatalf("%q: no error", q)
+		}
+		if _, perr := rdbms.ParseSQL(q); perr == nil || err.Error() != perr.Error() {
+			t.Fatalf("%q: got %v, want the parse error %v", q, err, perr)
+		}
+		if got := s.catPtr.Load(); got != published {
+			t.Fatalf("%q: malformed SQL unpublished the catalog snapshot", q)
+		}
+	}
+	assertCatalogFresh(t, s, "after malformed SQL")
 }
 
 // TestCatalogCacheConcurrentQueryAndExtract races AskGuided against

@@ -127,11 +127,24 @@ func (v *View) AskGuided(query string, k int) (*GuidedAnswer, error) {
 // statement executes against the snapshot with zero lock acquisitions.
 // Mutations and DDL are refused — route writes through System.SQL.
 func (v *View) SQL(query string) (*rdbms.ResultSet, error) {
+	stmt, err := rdbms.ParseSQL(query)
+	if err != nil {
+		return nil, err
+	}
+	sel, ok := stmt.(rdbms.SelectStmt)
+	if !ok {
+		return nil, fmt.Errorf("core: views are read-only (got %T)", stmt)
+	}
+	return v.ExecSelect(sel)
+}
+
+// ExecSelect runs an already-parsed SELECT against the View's snapshot.
+func (v *View) ExecSelect(sel rdbms.SelectStmt) (*rdbms.ResultSet, error) {
 	if err := v.err(); err != nil {
 		return nil, err
 	}
 	v.s.Stats.Inc("core.queries.sql", 1)
-	return v.snap.Query(query)
+	return v.snap.ExecSelect(sel)
 }
 
 // Browse is the View-scoped exploitation mode 4: a faceted browser built

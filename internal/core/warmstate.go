@@ -274,25 +274,6 @@ func (s *System) LoadWarmState(dir string) (bool, error) {
 	return true, nil
 }
 
-// Open builds a System, runs setup (typically the deterministic
-// generation that repopulates the extracted table after a restart), then
-// restores warm state from warmDir. warm reports whether a snapshot was
-// accepted; when false the system is fully functional but cold — the
-// first Catalog()/AskGuided rebuilds by scan.
-func Open(cfg Config, warmDir string, setup func(*System) error) (s *System, warm bool, err error) {
-	s, err = New(cfg)
-	if err != nil {
-		return nil, false, err
-	}
-	if setup != nil {
-		if err := setup(s); err != nil {
-			return nil, false, err
-		}
-	}
-	warm, err = s.LoadWarmState(warmDir)
-	return s, warm, err
-}
-
 // OpenReport describes what OpenDir found on disk.
 type OpenReport struct {
 	// Reopened is true when the on-disk database already held extracted

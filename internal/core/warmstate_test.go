@@ -50,17 +50,21 @@ func TestWarmStartRestoresCatalogAndQueue(t *testing.T) {
 	// "Process B": replays the same deterministic generation and the same
 	// extraction batch (so the table matches), then restores the warm
 	// catalog and the remaining queue from the snapshot.
-	b, warm, err := Open(Config{Corpus: corpus}, dir, func(s *System) error {
-		if _, err := s.Generate(context.Background(), warmGenProgram, uql.Options{}); err != nil {
-			return err
-		}
-		if err := s.PlanIncremental(context.Background(), "city", []string{"population", "founded"}, 4); err != nil {
-			return err
-		}
-		s.Demand(context.Background(), "founded", 2)
-		_, err := s.ExtractPending(context.Background(), "city", 3)
-		return err
-	})
+	b, err := New(Config{Corpus: corpus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Generate(context.Background(), warmGenProgram, uql.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.PlanIncremental(context.Background(), "city", []string{"population", "founded"}, 4); err != nil {
+		t.Fatal(err)
+	}
+	b.Demand(context.Background(), "founded", 2)
+	if _, err := b.ExtractPending(context.Background(), "city", 3); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := b.LoadWarmState(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,10 +134,14 @@ func TestWarmStartEqualsColdRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b, warm, err := Open(Config{Corpus: corpus}, dir, func(s *System) error {
-		_, err := s.Generate(context.Background(), warmGenProgram, uql.Options{})
-		return err
-	})
+	b, err := New(Config{Corpus: corpus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Generate(context.Background(), warmGenProgram, uql.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := b.LoadWarmState(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,13 +181,17 @@ func TestWarmStartStaleRowCount(t *testing.T) {
 	}
 
 	// "Process B" materializes one extra row before loading.
-	b, warm, err := Open(Config{Corpus: corpus}, dir, func(s *System) error {
-		if _, err := s.Generate(context.Background(), warmGenProgram, uql.Options{}); err != nil {
-			return err
-		}
-		_, err := s.SQL(context.Background(), "INSERT INTO extracted (entity, attribute, qualifier, value, num, conf) VALUES ('Gotham', 'mayor', '', 'Bruce', NULL, 0.5)")
-		return err
-	})
+	b, err := New(Config{Corpus: corpus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Generate(context.Background(), warmGenProgram, uql.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.SQL(context.Background(), "INSERT INTO extracted (entity, attribute, qualifier, value, num, conf) VALUES ('Gotham', 'mayor', '', 'Bruce', NULL, 0.5)"); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := b.LoadWarmState(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -159,6 +160,26 @@ func FuzzDecodeTuple(f *testing.F) {
 			t.Fatalf("round trip of %x changed the tuple", data)
 		}
 	})
+}
+
+// TestDecodeTupleAllocationBound: a 5-byte record whose header claims
+// 1<<20 columns must fail without allocating for the claimed arity
+// (sizing the result from the header alone costs ~48 MB per call). The
+// same input is a FuzzDecodeTuple seed (arity_claim_past_input).
+func TestDecodeTupleAllocationBound(t *testing.T) {
+	buf := []byte{0x00, 0x00, 0x10, 0x00, 0x00} // arity 1<<20, then one NULL
+	const runs = 10
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for i := 0; i < runs; i++ {
+		if _, err := DecodeTuple(buf); err == nil {
+			t.Fatal("decoded a record that claims more columns than it holds")
+		}
+	}
+	runtime.ReadMemStats(&ms1)
+	if per := (ms1.TotalAlloc - ms0.TotalAlloc) / runs; per > 4<<10 {
+		t.Fatalf("DecodeTuple allocated %d bytes per call on a 5-byte input", per)
+	}
 }
 
 // TestDecodePageMatchesDecodeTuple decodes pages of 100+ slots holding

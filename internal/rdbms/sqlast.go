@@ -182,19 +182,29 @@ func exprString(e Expr) string {
 	return "?"
 }
 
-// hasAgg reports whether e contains an aggregate call.
-func hasAgg(e Expr) bool {
+// SelectColumnName returns the output column name the executor gives
+// one non-star select-list expression: its alias, else the expression's
+// display rendering.
+func SelectColumnName(se SelectExpr) string {
+	if se.Alias != "" {
+		return se.Alias
+	}
+	return exprString(se.Expr)
+}
+
+// HasAggregate reports whether e contains an aggregate call.
+func HasAggregate(e Expr) bool {
 	switch x := e.(type) {
 	case AggExpr:
 		return true
 	case BinaryExpr:
-		return hasAgg(x.Left) || hasAgg(x.Right)
+		return HasAggregate(x.Left) || HasAggregate(x.Right)
 	case UnaryExpr:
-		return hasAgg(x.X)
+		return HasAggregate(x.X)
 	case IsNullExpr:
-		return hasAgg(x.X)
+		return HasAggregate(x.X)
 	case BetweenExpr:
-		return hasAgg(x.X) || hasAgg(x.Lo) || hasAgg(x.Hi)
+		return HasAggregate(x.X) || HasAggregate(x.Lo) || HasAggregate(x.Hi)
 	}
 	return false
 }

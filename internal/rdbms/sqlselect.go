@@ -70,7 +70,7 @@ func execSelectSrc(src readSource, s SelectStmt) (*ResultSet, error) {
 
 	grouped := len(s.GroupBy) > 0
 	for _, se := range s.Exprs {
-		if !se.Star && hasAgg(se.Expr) {
+		if !se.Star && HasAggregate(se.Expr) {
 			grouped = true
 		}
 	}
@@ -835,11 +835,7 @@ func expandSelect(s SelectStmt, b *binding) ([]string, []Expr) {
 			}
 			continue
 		}
-		name := se.Alias
-		if name == "" {
-			name = exprString(se.Expr)
-		}
-		cols = append(cols, name)
+		cols = append(cols, SelectColumnName(se))
 		exprs = append(exprs, se.Expr)
 	}
 	return cols, exprs

@@ -237,16 +237,16 @@ func EncodeTuple(t Tuple) []byte {
 	return buf
 }
 
-// DecodeTuple parses a tuple serialized by EncodeTuple.
+// DecodeTuple parses a tuple serialized by EncodeTuple. Every value
+// encodes to at least one byte, so the result's capacity is capped by
+// the bytes after the header: a header claiming more columns than the
+// input can hold fails without allocating for them.
 func DecodeTuple(buf []byte) (Tuple, error) {
-	if len(buf) < 4 {
-		return nil, fmt.Errorf("rdbms: short tuple header")
+	n, err := tupleHeader(buf)
+	if err != nil {
+		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(buf[:4]))
-	if n > 1<<20 {
-		return nil, fmt.Errorf("rdbms: implausible tuple arity %d", n)
-	}
-	out := make(Tuple, 0, n)
+	out := make(Tuple, 0, min(n, len(buf)-4))
 	off := 4
 	for i := 0; i < n; i++ {
 		v, used, err := decodeValue(buf[off:])
@@ -325,8 +325,8 @@ func skipValue(buf []byte) (int, error) {
 	return n, nil
 }
 
-// tupleHeader checks a tuple encoding's header as DecodeTuple does and
-// returns the arity it declares.
+// tupleHeader checks a tuple encoding's header and returns the arity it
+// declares.
 func tupleHeader(buf []byte) (int, error) {
 	if len(buf) < 4 {
 		return 0, fmt.Errorf("rdbms: short tuple header")

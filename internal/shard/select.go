@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -11,34 +12,43 @@ import (
 	"repro/internal/rdbms"
 )
 
-// shardExec executes one SQL string against one shard (a pinned view or
-// a one-shot read) and returns its result. A core.ErrClosed error marks
-// the shard as a gap rather than failing the whole query.
-type shardExec func(i int, query string) (*rdbms.ResultSet, error)
+// shardExec executes one parsed SELECT against one shard (a pinned view
+// or a one-shot read) and returns its result. A core.ErrClosed error
+// marks the shard as a gap rather than failing the whole query. Fan-out
+// calls it from one goroutine per shard with the same statement, which
+// the executor only reads.
+type shardExec func(i int, sel rdbms.SelectStmt) (*rdbms.ResultSet, error)
 
-// execSharded plans and executes one read statement across n shards.
-// Routing order: verbatim entity-routed single-shard execution (every
-// SQL feature supported), then the cross-shard merge paths — aggregate
-// recombination, DISTINCT dedup, ORDER BY k-way merge, and shard-major
-// concatenation for unordered scans. Mutations are refused.
-func execSharded(ss *ShardedSystem, query string, n int, exec shardExec) (*rdbms.ResultSet, error) {
+// parseSelect parses a sharded read: anything but a SELECT is refused
+// with ErrReadOnly.
+func parseSelect(query string) (rdbms.SelectStmt, error) {
 	stmt, err := rdbms.ParseSQL(query)
 	if err != nil {
-		return nil, err
+		return rdbms.SelectStmt{}, err
 	}
 	sel, ok := stmt.(rdbms.SelectStmt)
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrReadOnly, query)
+		return rdbms.SelectStmt{}, fmt.Errorf("%w: %q", ErrReadOnly, query)
 	}
+	return sel, nil
+}
 
+// execSharded plans and executes one parsed SELECT across n shards.
+// Routing order: entity-routed single-shard execution of the statement
+// as given (every SQL feature supported), then the cross-shard merge
+// paths — aggregate recombination, DISTINCT dedup, ORDER BY k-way
+// merge, and entity merge or concatenation for unordered scans. Each
+// merge path rewrites its own copy of the statement and hands that AST
+// to the shards; nothing is re-rendered to text or parsed again.
+func execSharded(ss *ShardedSystem, sel rdbms.SelectStmt, n int, exec shardExec) (*rdbms.ResultSet, error) {
 	// Entity-routed: a top-level `entity = '...'` conjunct over the
 	// partitioned table pins every matching row to one shard; the
-	// original statement runs there verbatim, so every SELECT feature
-	// (joins on that shard's tables, HAVING, aggregate arithmetic)
-	// behaves exactly like a single engine.
+	// statement runs there unchanged, so every SELECT feature (joins on
+	// that shard's tables, HAVING, aggregate arithmetic) behaves exactly
+	// like a single engine.
 	if entity, routed := routedEntity(sel); routed {
 		owner := ss.Owner(entity)
-		rs, err := exec(owner, query)
+		rs, err := exec(owner, sel)
 		if err != nil {
 			if isGap(err) {
 				ss.markDown(owner)
@@ -117,7 +127,7 @@ func conjuncts(e rdbms.Expr) []rdbms.Expr {
 // fanOut runs the (possibly rewritten) statement on every shard in
 // parallel. Gaps (closed shards) come back in down; any other error
 // fails the query. results is indexed by shard, nil at gaps.
-func fanOut(ss *ShardedSystem, n int, query string, exec shardExec) (results []*rdbms.ResultSet, down []int, err error) {
+func fanOut(ss *ShardedSystem, n int, sel rdbms.SelectStmt, exec shardExec) (results []*rdbms.ResultSet, down []int, err error) {
 	results = make([]*rdbms.ResultSet, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -125,7 +135,7 @@ func fanOut(ss *ShardedSystem, n int, query string, exec shardExec) (results []*
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = exec(i, query)
+			results[i], errs[i] = exec(i, sel)
 		}(i)
 	}
 	wg.Wait()
@@ -183,11 +193,12 @@ func pushedLimit(sel rdbms.SelectStmt) int {
 	return sel.Offset + sel.Limit
 }
 
-// orderLessVals mirrors the engine's orderLess: incomparable pairs and
-// equal keys fall through to the next key; a full tie is "not less".
-func orderLessVals(a, b []rdbms.Value, keys []rdbms.OrderKey) bool {
+// orderLess mirrors the engine's orderLess over rows whose i-th ORDER BY
+// key sits at column cols[i]: incomparable pairs and equal keys fall
+// through to the next key; a full tie is "not less".
+func orderLess(a, b rdbms.Tuple, cols []int, keys []rdbms.OrderKey) bool {
 	for i, k := range keys {
-		c, ok := rdbms.Compare(a[i], b[i])
+		c, ok := rdbms.Compare(a[cols[i]], b[cols[i]])
 		if !ok || c == 0 {
 			continue
 		}
@@ -197,6 +208,40 @@ func orderLessVals(a, b []rdbms.Value, keys []rdbms.OrderKey) bool {
 		return c < 0
 	}
 	return false
+}
+
+// mergeSorted is the one k-way merge: it merges streams that are each
+// sorted by less and calls emit with every element in merged order.
+// Among the current heads the strictly smaller wins; ties go to the
+// lowest stream index, so streams indexed by shard break cross-shard
+// ties by shard order.
+func mergeSorted[T any](streams [][]T, less func(a, b T) bool, emit func(T)) {
+	cursors := make([]int, len(streams))
+	for {
+		best := -1
+		for i, s := range streams {
+			if cursors[i] < len(s) && (best < 0 || less(s[cursors[i]], streams[best][cursors[best]])) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return
+		}
+		emit(streams[best][cursors[best]])
+		cursors[best]++
+	}
+}
+
+// rowStreams returns each shard's rows, nil at gaps, keeping the shard
+// index as the stream index.
+func rowStreams(results []*rdbms.ResultSet) [][]rdbms.Tuple {
+	streams := make([][]rdbms.Tuple, len(results))
+	for i, rs := range results {
+		if rs != nil {
+			streams[i] = rs.Rows
+		}
+	}
+	return streams
 }
 
 // canonKey encodes values into the engine's grouping/dedup equivalence:
@@ -223,6 +268,29 @@ func canonKey(vals []rdbms.Value) string {
 	return sb.String()
 }
 
+// outputNames returns the statement's output column names, or nil when
+// a * makes them depend on the table.
+func outputNames(sel rdbms.SelectStmt) []string {
+	names := make([]string, 0, len(sel.Exprs))
+	for _, se := range sel.Exprs {
+		if se.Star {
+			return nil
+		}
+		names = append(names, rdbms.SelectColumnName(se))
+	}
+	return names
+}
+
+// outputColumn resolves an ORDER BY key that is an unqualified column
+// name to the first output column of that name, mirroring the engine's
+// alias resolution; -1 when it does not name one.
+func outputColumn(names []string, key rdbms.Expr) int {
+	if cr, ok := key.(rdbms.ColumnRef); ok && cr.Table == "" {
+		return slices.Index(names, cr.Column)
+	}
+	return -1
+}
+
 // --- Ordered merge --------------------------------------------------------
 
 // execShardedOrdered is the tentpole path: each shard runs the query
@@ -239,42 +307,21 @@ func execShardedOrdered(ss *ShardedSystem, sel rdbms.SelectStmt, n int, exec sha
 
 	// Resolve each key to an existing output column (mirroring the
 	// engine's alias resolution: first name match wins) or append it.
-	anyStar := false
-	var names []string
-	for _, se := range sel.Exprs {
-		if se.Star {
-			anyStar = true
-		}
-		names = append(names, rdbms.SelectColumnName(se))
-	}
-	type keyLoc struct {
-		outIdx int // >= 0: reuse this output column
-		appIdx int // >= 0: appended column appIdx
-	}
-	locs := make([]keyLoc, len(sel.OrderBy))
+	// keyCols holds an output index, or -1-j for appended column j.
+	names := outputNames(sel)
+	keyCols := make([]int, len(sel.OrderBy))
 	appended := 0
 	exprs := append([]rdbms.SelectExpr{}, sel.Exprs...)
 	for ki, k := range sel.OrderBy {
-		locs[ki] = keyLoc{outIdx: -1, appIdx: -1}
-		if !anyStar {
-			if cr, ok := k.Expr.(rdbms.ColumnRef); ok && cr.Table == "" {
-				for i, name := range names {
-					if name == cr.Column {
-						locs[ki].outIdx = i
-						break
-					}
-				}
-			}
-		}
-		if locs[ki].outIdx < 0 {
+		if keyCols[ki] = outputColumn(names, k.Expr); keyCols[ki] < 0 {
 			exprs = append(exprs, rdbms.SelectExpr{Expr: k.Expr, Alias: fmt.Sprintf("__k%d", appended)})
-			locs[ki].appIdx = appended
+			keyCols[ki] = -1 - appended
 			appended++
 		}
 	}
 	shardSel.Exprs = exprs
 
-	results, down, err := fanOut(ss, n, rdbms.DeparseSelect(&shardSel), exec)
+	results, down, err := fanOut(ss, n, shardSel, exec)
 	if err != nil {
 		return nil, err
 	}
@@ -294,43 +341,16 @@ func execShardedOrdered(ss *ShardedSystem, sel rdbms.SelectStmt, n int, exec sha
 		return finishPartial(ss, nil, down, false)
 	}
 
-	keysOf := func(row rdbms.Tuple) []rdbms.Value {
-		keys := make([]rdbms.Value, len(locs))
-		for ki, loc := range locs {
-			if loc.outIdx >= 0 {
-				keys[ki] = row[loc.outIdx]
-			} else {
-				keys[ki] = row[baseN+loc.appIdx]
-			}
+	for ki, c := range keyCols {
+		if c < 0 {
+			keyCols[ki] = baseN - 1 - c
 		}
-		return keys
 	}
-
-	// K-way merge over the pre-sorted streams: among the current heads,
-	// the strictly smallest wins; ties keep the lowest shard index.
-	cursors := make([]int, n)
-	heads := make([][]rdbms.Value, n)
-	for {
-		best := -1
-		for i, rs := range results {
-			if rs == nil || cursors[i] >= len(rs.Rows) {
-				continue
-			}
-			if heads[i] == nil {
-				heads[i] = keysOf(rs.Rows[cursors[i]])
-			}
-			if best < 0 || orderLessVals(heads[i], heads[best], sel.OrderBy) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		row := results[best].Rows[cursors[best]]
+	mergeSorted(rowStreams(results), func(a, b rdbms.Tuple) bool {
+		return orderLess(a, b, keyCols, sel.OrderBy)
+	}, func(row rdbms.Tuple) {
 		out.Rows = append(out.Rows, row[:baseN])
-		cursors[best]++
-		heads[best] = nil
-	}
+	})
 	applyOffsetLimit(out, sel.Offset, sel.Limit)
 	return finishPartial(ss, out, down, true)
 }
@@ -355,7 +375,7 @@ func execShardedUnordered(ss *ShardedSystem, sel rdbms.SelectStmt, n int, exec s
 		shardSel.Exprs = append(append([]rdbms.SelectExpr{}, sel.Exprs...),
 			rdbms.SelectExpr{Expr: rdbms.ColumnRef{Column: "entity"}, Alias: "__k0"})
 	}
-	results, down, err := fanOut(ss, n, rdbms.DeparseSelect(&shardSel), exec)
+	results, down, err := fanOut(ss, n, shardSel, exec)
 	if err != nil {
 		return nil, err
 	}
@@ -399,23 +419,9 @@ func execShardedUnordered(ss *ShardedSystem, sel rdbms.SelectStmt, n int, exec s
 // stays minimal preserves intra-entity order; the lowest shard index
 // would win a cross-shard tie, but partitioning makes ties impossible.
 func mergeByEntity(results []*rdbms.ResultSet, entIdx int, emit func(rdbms.Tuple)) {
-	cursors := make([]int, len(results))
-	for {
-		best := -1
-		for i, rs := range results {
-			if rs == nil || cursors[i] >= len(rs.Rows) {
-				continue
-			}
-			if best < 0 || rs.Rows[cursors[i]][entIdx].S < results[best].Rows[cursors[best]][entIdx].S {
-				best = i
-			}
-		}
-		if best < 0 {
-			return
-		}
-		emit(results[best].Rows[cursors[best]])
-		cursors[best]++
-	}
+	mergeSorted(rowStreams(results), func(a, b rdbms.Tuple) bool {
+		return a[entIdx].S < b[entIdx].S
+	}, emit)
 }
 
 // --- DISTINCT -------------------------------------------------------------
@@ -432,25 +438,10 @@ func execShardedDistinct(ss *ShardedSystem, sel rdbms.SelectStmt, n int, exec sh
 	if len(sel.OrderBy) == 0 && sel.From == core.TableName {
 		return execShardedDistinctScan(ss, sel, n, exec)
 	}
-	var names []string
-	for _, se := range sel.Exprs {
-		if se.Star {
-			names = nil
-			break
-		}
-		names = append(names, rdbms.SelectColumnName(se))
-	}
+	names := outputNames(sel)
 	var keyIdx []int
 	for _, k := range sel.OrderBy {
-		idx := -1
-		if cr, ok := k.Expr.(rdbms.ColumnRef); ok && cr.Table == "" {
-			for i, name := range names {
-				if name == cr.Column {
-					idx = i
-					break
-				}
-			}
-		}
+		idx := outputColumn(names, k.Expr)
 		if idx < 0 {
 			return nil, fmt.Errorf("%w: DISTINCT ORDER BY keys must be output columns", ErrUnsupported)
 		}
@@ -460,7 +451,7 @@ func execShardedDistinct(ss *ShardedSystem, sel rdbms.SelectStmt, n int, exec sh
 	shardSel := sel
 	shardSel.Limit = pushedLimit(sel)
 	shardSel.Offset = 0
-	results, down, err := fanOut(ss, n, rdbms.DeparseSelect(&shardSel), exec)
+	results, down, err := fanOut(ss, n, shardSel, exec)
 	if err != nil {
 		return nil, err
 	}
@@ -486,28 +477,9 @@ func execShardedDistinct(ss *ShardedSystem, sel rdbms.SelectStmt, n int, exec sh
 		}
 	}
 	if len(sel.OrderBy) > 0 {
-		cursors := make([]int, n)
-		for {
-			best := -1
-			var bestKeys []rdbms.Value
-			for i, rs := range results {
-				if rs == nil || cursors[i] >= len(rs.Rows) {
-					continue
-				}
-				keys := make([]rdbms.Value, len(keyIdx))
-				for ki, idx := range keyIdx {
-					keys[ki] = rs.Rows[cursors[i]][idx]
-				}
-				if best < 0 || orderLessVals(keys, bestKeys, sel.OrderBy) {
-					best, bestKeys = i, keys
-				}
-			}
-			if best < 0 {
-				break
-			}
-			emit(results[best].Rows[cursors[best]])
-			cursors[best]++
-		}
+		mergeSorted(rowStreams(results), func(a, b rdbms.Tuple) bool {
+			return orderLess(a, b, keyIdx, sel.OrderBy)
+		}, emit)
 	} else {
 		for _, rs := range results {
 			if rs == nil {
@@ -536,7 +508,7 @@ func execShardedDistinctScan(ss *ShardedSystem, sel rdbms.SelectStmt, n int, exe
 	shardSel.Offset = 0
 	shardSel.Exprs = append(append([]rdbms.SelectExpr{}, sel.Exprs...),
 		rdbms.SelectExpr{Expr: rdbms.ColumnRef{Column: "entity"}, Alias: "__k0"})
-	results, down, err := fanOut(ss, n, rdbms.DeparseSelect(&shardSel), exec)
+	results, down, err := fanOut(ss, n, shardSel, exec)
 	if err != nil {
 		return nil, err
 	}
@@ -653,7 +625,7 @@ func execShardedAgg(ss *ShardedSystem, sel rdbms.SelectStmt, n int, exec shardEx
 	shardSel.OrderBy = nil
 	shardSel.Limit = -1
 	shardSel.Offset = 0
-	results, down, err := fanOut(ss, n, rdbms.DeparseSelect(&shardSel), exec)
+	results, down, err := fanOut(ss, n, shardSel, exec)
 	if err != nil {
 		return nil, err
 	}
@@ -720,36 +692,14 @@ func execShardedAgg(ss *ShardedSystem, sel rdbms.SelectStmt, n int, exec shardEx
 	if len(sel.OrderBy) > 0 {
 		var keyIdx []int
 		for _, k := range sel.OrderBy {
-			idx := -1
-			if cr, ok := k.Expr.(rdbms.ColumnRef); ok && cr.Table == "" {
-				for i, name := range outNames {
-					if name == cr.Column {
-						idx = i
-						break
-					}
-				}
-			}
-			if idx < 0 {
-				want := rdbms.SelectColumnName(rdbms.SelectExpr{Expr: k.Expr})
-				for i, name := range outNames {
-					if name == want {
-						idx = i
-						break
-					}
-				}
-			}
+			idx := slices.Index(outNames, rdbms.SelectColumnName(rdbms.SelectExpr{Expr: k.Expr}))
 			if idx < 0 {
 				return nil, fmt.Errorf("%w: aggregate ORDER BY keys must be output columns", ErrUnsupported)
 			}
 			keyIdx = append(keyIdx, idx)
 		}
 		sort.SliceStable(out.Rows, func(a, b int) bool {
-			ka := make([]rdbms.Value, len(keyIdx))
-			kb := make([]rdbms.Value, len(keyIdx))
-			for i, idx := range keyIdx {
-				ka[i], kb[i] = out.Rows[a][idx], out.Rows[b][idx]
-			}
-			return orderLessVals(ka, kb, sel.OrderBy)
+			return orderLess(out.Rows[a], out.Rows[b], keyIdx, sel.OrderBy)
 		})
 	}
 	applyOffsetLimit(out, sel.Offset, sel.Limit)

@@ -578,14 +578,19 @@ func (ss *ShardedSystem) AskGuided(ctx context.Context, query string, k int) (*c
 }
 
 // SQL serves read statements across the shards (see package doc for the
-// merge contract); mutations are refused with ErrReadOnly.
+// merge contract); mutations are refused with ErrReadOnly before any
+// shard snapshot is opened.
 func (ss *ShardedSystem) SQL(ctx context.Context, query string) (*rdbms.ResultSet, error) {
+	sel, err := parseSelect(query)
+	if err != nil {
+		return nil, err
+	}
 	sv, err := ss.View(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer sv.Close()
-	return sv.SQL(query)
+	return sv.execSelect(sel)
 }
 
 // Browse builds the faceted browser over every healthy shard's snapshot

@@ -143,6 +143,17 @@ func TestShardedSelectEquivalenceOracle(t *testing.T) {
 				"SELECT entity, attribute, qualifier, value FROM extracted",
 				"SELECT entity, value FROM extracted WHERE attribute = 'temperature' LIMIT 25",
 				"SELECT DISTINCT attribute FROM extracted",
+				// Non-routed shapes whose rewritten statements must reach
+				// the shards intact: float BETWEEN bounds, NOT over a
+				// parenthesized OR, LIKE, an arithmetic alias as sort key,
+				// a quote inside a literal, negative float literals.
+				"SELECT entity, qualifier, num FROM extracted WHERE num BETWEEN 20.5 AND 30.25 ORDER BY num, entity, qualifier LIMIT 17 OFFSET 2",
+				"SELECT entity, attribute, qualifier, num FROM extracted WHERE NOT (attribute = 'temperature' OR num IS NULL) ORDER BY attribute, num DESC, entity, qualifier LIMIT 21",
+				"SELECT entity, attribute, value FROM extracted WHERE entity LIKE '%son%' ORDER BY entity, attribute, qualifier",
+				"SELECT entity, qualifier, (num + 1.5) * 2 AS score FROM extracted WHERE attribute = 'temperature' ORDER BY score DESC, entity, qualifier LIMIT 12",
+				"SELECT entity, 'it''s' AS tag FROM extracted WHERE value != 'it''s' AND attribute = 'name' ORDER BY entity LIMIT 7",
+				"SELECT entity, qualifier, num FROM extracted WHERE -num < 5 AND -num > -20.5 AND num > -3.25 ORDER BY num, entity, attribute, qualifier LIMIT 15",
+				"SELECT entity, attribute, num FROM extracted WHERE num IS NOT NULL",
 			}
 			for _, q := range queries {
 				want := mustSQL(t, q, func(q string) (*rdbms.ResultSet, error) { return single.SQL(ctx, q) })
@@ -152,6 +163,26 @@ func TestShardedSelectEquivalenceOracle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMergeSortedTiesGoToLowestStream: the k-way merge emits the
+// strictly smaller head first, breaks ties by the lowest stream (shard)
+// index, keeps each stream's own order and skips empty streams (gaps).
+// The SQL oracles cannot observe the tie rule: their sort keys include
+// the partition column, so no two shards ever tie.
+func TestMergeSortedTiesGoToLowestStream(t *testing.T) {
+	type el struct{ key, id int }
+	streams := [][]el{
+		{{1, 0}, {3, 1}},
+		nil,
+		{{1, 20}, {2, 21}, {3, 22}},
+		{{0, 30}, {3, 31}},
+	}
+	var got []int
+	mergeSorted(streams, func(a, b el) bool { return a.key < b.key }, func(e el) { got = append(got, e.id) })
+	if want := []int{30, 0, 20, 21, 1, 22, 31}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("merge order %v, want %v", got, want)
 	}
 }
 

@@ -153,13 +153,23 @@ func (sv *ShardedView) AskGuided(query string, k int) (*core.GuidedAnswer, error
 }
 
 // SQL executes a read statement across the shard snapshots; see the
-// package doc for the routing and merge contract.
+// package doc for the routing and merge contract. Mutations are refused
+// with ErrReadOnly.
 func (sv *ShardedView) SQL(query string) (*rdbms.ResultSet, error) {
-	return execSharded(sv.ss, query, len(sv.views), func(i int, q string) (*rdbms.ResultSet, error) {
+	sel, err := parseSelect(query)
+	if err != nil {
+		return nil, err
+	}
+	return sv.execSelect(sel)
+}
+
+// execSelect runs a parsed SELECT across the shard snapshots.
+func (sv *ShardedView) execSelect(sel rdbms.SelectStmt) (*rdbms.ResultSet, error) {
+	return execSharded(sv.ss, sel, len(sv.views), func(i int, s rdbms.SelectStmt) (*rdbms.ResultSet, error) {
 		if sv.views[i] == nil {
 			return nil, core.ErrClosed
 		}
-		return sv.views[i].SQL(q)
+		return sv.views[i].ExecSelect(s)
 	})
 }
 
@@ -193,23 +203,9 @@ func (sv *ShardedView) Browse() (*browse.Browser, error) {
 		total += len(s)
 	}
 	all := make([]browse.Row, 0, total)
-	cursors := make([]int, len(streams))
-	for {
-		best := -1
-		for i, s := range streams {
-			if cursors[i] >= len(s) {
-				continue
-			}
-			if best < 0 || s[cursors[i]].Entity < streams[best][cursors[best]].Entity {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		all = append(all, streams[best][cursors[best]])
-		cursors[best]++
-	}
+	mergeSorted(streams, func(a, b browse.Row) bool { return a.Entity < b.Entity }, func(r browse.Row) {
+		all = append(all, r)
+	})
 	return browse.New(all), degradedOrNil(sv.gapError(extra))
 }
 
